@@ -23,10 +23,19 @@ adds a paired verdict:
     agree       within the bound
 
 End-to-end metrics carry the bound BENCHMARK.json fixes; per-layer
-metrics have none and get only gain or "-".  The two sets must come
-from the same NetIo backend and offload state: otherwise the tool
-refuses (exit 2).  It exits 1 when an end-to-end metric regresses or
-is unresolved, 0 when all agree or gain.
+metrics have none and get only gain or "-".  Every metric, setup_s
+included, gets the same rule.
+
+Failed operations leave the metrics: a failed transfer has no latency
+and moves no payload.  So the tool also compares each workload's
+failed share (failed over attempted, summed over the set's runs): a
+higher share in the new set is a regression of that workload, and
+none of its metrics can read as a gain.
+
+The two sets must come from the same NetIo backend and offload state:
+otherwise the tool refuses (exit 2).  It exits 1 when a failed share
+or an end-to-end metric regresses or is unresolved, 0 when all agree
+or gain.
 """
 
 import json
@@ -47,15 +56,20 @@ def declared(keys):
 
 
 def load(path):
-    """{(workload, metric): {seed: value}} and the set's host stamps."""
+    """{(workload, metric): {seed: value}}, {workload: [failed,
+    attempted]} and the set's host stamps."""
     values = defaultdict(dict)
+    ops = defaultdict(lambda: [0, 0])
     hosts = []
     for line in Path(path).read_text().splitlines():
         rec = json.loads(line)
         hosts.append(rec["host"])
-        for name, m in rec["result"]["metrics"].items():
+        result = rec["result"]
+        ops[rec["workload"]][0] += result["failed"]
+        ops[rec["workload"]][1] += result["attempted"]
+        for name, m in result["metrics"].items():
             values[(rec["workload"], name)][rec["seed"]] = m["value"]
-    return values, hosts
+    return values, ops, hosts
 
 
 def quartiles(vals):
@@ -98,17 +112,32 @@ def show_one(values):
         q1, med, q3 = quartiles(vals)
         bound = BOUNDS.get(name)
         flag = ""
-        if bound is not None and name != "setup_s" and spread(vals) > bound / 3:
+        if bound is not None and spread(vals) > bound / 3:
             flag = "  > bound/3"
         print(f"{w:14} {name:30} {len(vals):3} {fmt(q1):>10} {fmt(med):>10} {fmt(q3):>10} "
               f"{spread(vals):7.3f} {bound if bound is not None else '-':>6}{flag}")
     return 0
 
 
-def show_two(base, new):
+def failed_share(ops):
+    failed, attempted = ops
+    return failed / attempted if attempted else 0.0
+
+
+def show_two(base, new, base_ops, new_ops):
+    bad = 0
+    more_failures = set()
+    print(f"{'workload':14} {'failed/attempted base':>24} {'new':>24}  verdict")
+    for w in sorted(set(base_ops) & set(new_ops)):
+        bf, nf = failed_share(base_ops[w]), failed_share(new_ops[w])
+        verdict = "regression" if nf > bf else "agree"
+        if nf > bf:
+            more_failures.add(w)
+            bad += 1
+        print(f"{w:14} {'%d/%d' % tuple(base_ops[w]):>24} {'%d/%d' % tuple(new_ops[w]):>24}  {verdict}")
+    print()
     print(f"{'workload':14} {'metric':30} {'base median [q1, q3]':>30} "
           f"{'new median [q1, q3]':>30} {'worse':>7} {'wins':>5}  verdict")
-    bad = 0
     for key in declared(set(base) & set(new)):
         w, name = key
         b, n = base[key], new[key]
@@ -121,14 +150,14 @@ def show_two(base, new):
             worse = -worse
         bound = BOUNDS.get(name)
         dominant = all(better(name, nv, bv) for bv in b.values() for nv in n.values())
-        if (share is not None and share >= 0.9 and better(name, nmed, bmed)
-                and abs(nmed - bmed) > bq3 - bq1):
+        if (w not in more_failures and share is not None and share >= 0.9
+                and better(name, nmed, bmed) and abs(nmed - bmed) > bq3 - bq1):
             verdict = "gain"
         elif bound is None:
             verdict = "-"
         elif worse > bound:
             verdict = "regression"
-        elif (name != "setup_s" and max(spread(list(b.values())), spread(list(n.values()))) > bound
+        elif (max(spread(list(b.values())), spread(list(n.values()))) > bound
               and not dominant):
             verdict = "unresolved"
         else:
@@ -137,8 +166,8 @@ def show_two(base, new):
         bcol = f"{fmt(bmed)} [{fmt(bq1)}, {fmt(bq3)}]"
         ncol = f"{fmt(nmed)} [{fmt(nq1)}, {fmt(nq3)}]"
         print(f"{w:14} {name:30} {bcol:>30} {ncol:>30} {worse:+7.3f} {'-' if share is None else f'{share:.2f}':>5}  {verdict}")
-    print("every end-to-end metric agrees within its bound" if not bad
-          else f"{bad} end-to-end metric(s) regress or are unresolved")
+    print("every failed share and end-to-end metric agrees within its bound" if not bad
+          else f"{bad} failed share(s) or end-to-end metric(s) regress or are unresolved")
     return 1 if bad else 0
 
 
@@ -146,10 +175,11 @@ def main():
     if len(sys.argv) not in (2, 3):
         sys.exit(__doc__)
     sets = [load(p) for p in sys.argv[1:]]
-    refuse_mixed([h for _, hosts in sets for h in hosts])
+    refuse_mixed([h for _, _, hosts in sets for h in hosts])
     if len(sets) == 1:
         return show_one(sets[0][0])
-    return show_two(sets[0][0], sets[1][0])
+    (base, base_ops, _), (new, new_ops, _) = sets
+    return show_two(base, new, base_ops, new_ops)
 
 
 if __name__ == "__main__":

@@ -20,13 +20,12 @@ use blast_counting_alloc::allocations;
 use blast_telemetry::Recorder;
 
 use crate::sys::{self, ms, percentile, ratio, Rng};
-use crate::{layers, Args, Metrics, Mismatch, Outcome, VERB_METRICS};
+use crate::{layers, Args, Metrics, Mismatch, Outcome, SETUPS, VERB_METRICS};
 
 const BYTES: usize = 1 << 20;
 const BLOBS: usize = 8;
 const SERVICE: Duration = Duration::from_micros(20);
 const QUEUE_CAP: u32 = 8;
-const SETUPS: usize = 7;
 const TRACE_RING: usize = 1 << 14;
 
 const ROLES: [&str; 3] = ["push", "pull", "copy"];
@@ -208,6 +207,9 @@ pub fn run(args: &Args) -> Result<Outcome, Mismatch> {
     let mut setups = Vec::with_capacity(SETUPS);
     let mut inputs = None;
     for _ in 0..SETUPS {
+        // Drop the previous inputs first: their teardown stays out of
+        // the timing, and every set-up faults in fresh pages alike.
+        drop(inputs.take());
         let t = Instant::now();
         inputs = Some(set_up(args.seed));
         setups.push(t.elapsed().as_secs_f64());
@@ -235,9 +237,9 @@ pub fn run(args: &Args) -> Result<Outcome, Mismatch> {
             log.absorb(t);
             plain.absorb(p);
         }
-        // No node and no sockets: the node, NetIo-counter and client
-        // layers are not exercised and read 0.
-        let mut m = layers::measure(BYTES, None);
+        // No node and no sockets: the node, NetIo-counter, timer-wheel
+        // and client layers are not exercised and read 0.
+        let mut m = layers::measure(BYTES, None, None);
         let n = log.trials as f64;
         m.insert(
             "process.allocs_per_MB",

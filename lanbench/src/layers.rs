@@ -14,6 +14,7 @@ use std::time::{Duration, Instant};
 
 use blast_analytic::cost::CostModel;
 use blast_analytic::errorfree::ErrorFree;
+use blast_core::api::TimerToken;
 use blast_core::blast::{BlastReceiver, BlastSender};
 use blast_core::harness::{Harness, LossPlan};
 use blast_counting_alloc::allocations;
@@ -28,11 +29,6 @@ use crate::Metrics;
 
 /// Timed repetitions of each micro-benchmark; the median is reported.
 const REPEATS: usize = 7;
-
-/// Live timer keys while `timers.arm_pop_ns` is timed: the two
-/// sessions `small_ops` keeps in flight, each with its retransmission,
-/// pace, linger and session-timeout keys.
-const LIVE_TIMERS: u64 = 8;
 
 /// Datagrams per NetIo batch, about one paced burst's worth.
 const NETIO_BATCH: usize = 32;
@@ -189,20 +185,38 @@ fn netio(frame: &[u8]) -> (f64, f64) {
     (percentile(&sends, 50.0), percentile(&recvs, 50.0))
 }
 
-/// ns to arm one timer and pop it due, with [`LIVE_TIMERS`] others
-/// pending.
-fn timers() -> f64 {
+/// The load on a node's session timer wheel: keys armed, and heap
+/// entries of forgotten keys that stay in the heap until their
+/// deadline surfaces them.
+pub struct WheelLoad {
+    pub live: usize,
+    pub stale: usize,
+}
+
+/// The node's give-up token; engine tokens count up from 0.
+const GIVE_UP: TimerToken = TimerToken(u64::MAX - 1);
+
+/// ns to arm one engine timer of a live session and pop it due, on a
+/// wheel keyed as the node keys it, `(transfer_id, token)`, holding
+/// `load`.
+fn timers(load: &WheelLoad) -> f64 {
+    let live = load.live.max(1) as u32;
     let mut wheel = TimerWheel::new();
     let later = Instant::now() + Duration::from_secs(3600);
-    for key in 0..LIVE_TIMERS {
-        wheel.arm_at(key, later);
+    for id in 0..live + load.stale as u32 {
+        wheel.arm_at((id, GIVE_UP), later);
     }
+    // Reaped sessions: the node forgets their keys, the heap keeps
+    // their entries.
+    wheel.forget_where(|&(id, _)| id >= live);
     let due = Instant::now();
+    let mut id = 0;
     let ns = ns_per_iter(50_000, || {
-        wheel.arm_at(black_box(LIVE_TIMERS), due);
+        id = (id + 1) % live;
+        wheel.arm_at((black_box(id), TimerToken(0)), due);
         black_box(wheel.pop_due(due).expect("armed key is due"));
     });
-    assert_eq!(wheel.len() as u64, LIVE_TIMERS, "timer wheel leaked keys");
+    assert_eq!(wheel.len(), live as usize, "timer wheel leaked keys");
     ns
 }
 
@@ -216,8 +230,10 @@ pub fn netio_probe() -> (String, String) {
 
 /// Every micro-timed layer plus the ledger.  `push_bytes` is the size
 /// of the workload's push; `push_data_ms` its measured data phase
-/// (p50), or `None` where the workload makes no wall-clock push.
-pub fn measure(push_bytes: usize, push_data_ms: Option<f64>) -> Metrics {
+/// (p50), or `None` where the workload makes no wall-clock push;
+/// `wheel` the load the workload put on a node's timer wheel, or
+/// `None` where no node runs.
+pub fn measure(push_bytes: usize, push_data_ms: Option<f64>, wheel: Option<WheelLoad>) -> Metrics {
     let packet_payload = sys::shipped_client_config().packet_payload;
     let (data, ack) = packets(packet_payload);
     let [build, parse, frame, unframe] = wire_and_fcs(&data);
@@ -246,7 +262,9 @@ pub fn measure(push_bytes: usize, push_data_ms: Option<f64>) -> Metrics {
     m.insert("engine.allocs_per_pkt", engine_allocs);
     m.insert("netio.send_ns_per_dgram", send);
     m.insert("netio.recv_ns_per_dgram", recv);
-    m.insert("timers.arm_pop_ns", timers());
+    if let Some(load) = wheel {
+        m.insert("timers.arm_pop_ns", timers(&load));
+    }
     m.insert("ledger.C_us", c / 1e3);
     m.insert("ledger.Ca_us", ca / 1e3);
     m.insert("ledger.T_us", recv / 1e3);

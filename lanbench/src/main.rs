@@ -102,6 +102,12 @@ pub const PER_LAYER: &[(&str, &str)] = &[
     ("ledger.model_gap_frac", "ratio"),
 ];
 
+/// Set-ups timed per untraced run; `setup_s` is their median.  The
+/// first two or three node set-ups in a process take about twice the
+/// steady time, and a median of eight still landed among them in some
+/// runs and not in others.
+pub const SETUPS: usize = 15;
+
 /// Metric values by name, filled in by a workload.
 pub type Metrics = BTreeMap<&'static str, f64>;
 

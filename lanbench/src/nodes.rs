@@ -8,11 +8,11 @@ use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use blast_counting_alloc::allocations;
-use blast_node::{Client, NodeBuilder, NodeHandle, NodeMetrics};
+use blast_node::{Client, NodeBuilder, NodeConfig, NodeHandle, NodeMetrics};
 use blast_telemetry::Recorder;
 
 use crate::sys::{self, ms, percentile, ratio, Rng};
-use crate::{layers, Args, Metrics, Mismatch, Outcome, VERB_METRICS};
+use crate::{layers, Args, Metrics, Mismatch, Outcome, SETUPS, VERB_METRICS};
 
 /// How a node workload loads the nodes.
 pub struct Shape {
@@ -107,7 +107,9 @@ struct Log {
     wall: Duration,
     cpu: Duration,
     allocs: u64,
+    /// Shutdown metrics of A and B merged, and of A alone.
     node: NodeMetrics,
+    node_a: NodeMetrics,
 }
 
 impl Log {
@@ -141,6 +143,27 @@ impl Log {
         self.cpu += other.cpu;
         self.allocs += other.allocs;
         self.node.merge_from(&other.node);
+        self.node_a.merge_from(&other.node_a);
+    }
+
+    /// The load on A's session timer wheel, from A's admission rate
+    /// over the slice (Little's law).  A session holds its give-up key
+    /// and one engine timer while it runs, give-up and reap keys
+    /// through the linger window; once reaped, its give-up entry stays
+    /// in the heap, stale, until the session timeout passes.
+    fn wheel_load(&self) -> layers::WheelLoad {
+        let config = NodeConfig::default();
+        let rate = ratio(
+            self.node_a.sessions_accepted as f64,
+            self.wall.as_secs_f64(),
+        );
+        let active = self.node_a.session_secs.mean();
+        let linger = config.linger.as_secs_f64();
+        let timeout = config.session_timeout.as_secs_f64();
+        layers::WheelLoad {
+            live: (rate * 2.0 * (active + linger)).round() as usize,
+            stale: (rate * (timeout - active - linger)).max(0.0).round() as usize,
+        }
     }
 }
 
@@ -352,10 +375,13 @@ fn slice(
     log.allocs = allocs;
     let Rig { a, b, threads } = rig;
     drop(threads);
-    for node in [a, b] {
+    for (i, node) in [a, b].into_iter().enumerate() {
         node.wait_idle(Duration::from_secs(5));
-        log.node
-            .merge_from(&node.shutdown().expect("node shutdown"));
+        let metrics = node.shutdown().expect("node shutdown");
+        if i == 0 {
+            log.node_a.merge_from(&metrics);
+        }
+        log.node.merge_from(&metrics);
     }
     Ok((log, setup))
 }
@@ -380,16 +406,17 @@ pub fn run(shape: &Shape, args: &Args) -> Result<Outcome, Mismatch> {
 /// per-slice values: how a fresh set of threads lands on the CPUs
 /// moves small-transfer latency by tens of percent from one slice to
 /// the next, and a median over eight draws holds still where one draw
-/// does not.  `setup_s` is the median of the eight set-ups.
+/// does not.
 const SLICES: u32 = 8;
 
 fn untraced(shape: &Shape, args: &Args) -> Result<(Log, Metrics), Mismatch> {
     let mut per_slice: Vec<Metrics> = Vec::new();
+    let mut setups = Vec::with_capacity(SETUPS);
     let mut total = Log::default();
     for _ in 0..SLICES {
         let (log, setup) = slice(shape, args.seed, args.seconds / SLICES, false)?;
+        setups.push(setup.as_secs_f64());
         let mut m = Metrics::new();
-        m.insert("setup_s", setup.as_secs_f64());
         m.insert("goodput_MBps", log.goodput_mbps());
         for ((p50, _), v) in VERB_METRICS.into_iter().zip(log.verbs()) {
             m.insert(p50, percentile(&v.call_ms, 50.0));
@@ -397,7 +424,17 @@ fn untraced(shape: &Shape, args: &Args) -> Result<(Log, Metrics), Mismatch> {
         per_slice.push(m);
         total.absorb(log);
     }
+    // The slices' set-ups and as many more as `setup_s` needs.
+    while setups.len() < SETUPS {
+        let t = Instant::now();
+        let rig = set_up(shape, args.seed, false);
+        setups.push(t.elapsed().as_secs_f64());
+        drop(rig.threads);
+        rig.a.shutdown().expect("node shutdown");
+        rig.b.shutdown().expect("node shutdown");
+    }
     let mut m = median_of(&per_slice);
+    m.insert("setup_s", percentile(&setups, 50.0));
     m.insert("peak_rss_MB", sys::peak_rss_mb());
     Ok((total, m))
 }
@@ -432,22 +469,13 @@ fn traced(shape: &Shape, args: &Args) -> Result<(Log, Metrics), Mismatch> {
     let io = &log.node.io;
     let node = &log.node;
 
-    // Stats latency needs samples on workloads whose loop issues none.
-    if log.stats_ms.is_empty() {
-        let mut rig = set_up(shape, args.seed, true);
-        let client = &mut rig.threads[0].to_a;
-        for _ in 0..16 {
-            let t = Instant::now();
-            let text = client.stats().expect("stats query on an idle node");
-            log.stats_ms.push(ms(t.elapsed()));
-            log.stats_bytes += text.len() as u64;
-        }
-        drop(rig.threads);
-        rig.a.shutdown().expect("node shutdown");
-        rig.b.shutdown().expect("node shutdown");
-    }
-
-    let mut m = layers::measure(shape.blob_bytes, Some(percentile(&log.push.data_ms, 50.0)));
+    // The model gap from the untraced slices: the recorder's cost is
+    // not a gap in the model.
+    let mut m = layers::measure(
+        shape.blob_bytes,
+        Some(percentile(&plain.push.data_ms, 50.0)),
+        Some(log.wheel_load()),
+    );
     m.insert(
         "netio.dgrams_per_send_call",
         ratio(io.datagrams_sent as f64, io.send_batches as f64),

@@ -5,7 +5,9 @@ A result set is a JSON-lines file: one line per run, holding the
 workload, seed, trace flag, the run's host stamp and its result.  Runs
 go seed by seed, every workload per seed, so slow drift of the machine
 spreads over all workloads alike.  Every run's metric names and units
-are checked against BENCHMARK.json.
+are checked against BENCHMARK.json, and a run with a failed operation
+stops the sweep: every workload completes every operation at this
+commit, so a failure is a defect, not a figure to average.
 
     python3 lanbench/sweep.py --out base.jsonl --seeds 1-10
     python3 lanbench/sweep.py --out t.jsonl --seeds 1-3 --trace 1 --workloads replicate
@@ -49,6 +51,9 @@ def run_once(workload, seed, seconds, trace):
                  f"units {[k for k in want if k in got and want[k] != got[k]]}")
     if not result["correct"]:
         sys.exit(f"{workload} seed {seed}: incorrect output")
+    if result["failed"]:
+        sys.exit(f"{workload} seed {seed}: {result['failed']} of "
+                 f"{result['attempted']} operations failed\n{proc.stderr}")
     return {"workload": workload, "seed": seed, "trace": trace,
             "host": host, "result": result}
 
