@@ -37,7 +37,7 @@
 //! its peer (§3.2.2's tail problem) — and are then reaped from the
 //! demux table.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -65,20 +65,35 @@ use blast_wire::packet::{Datagram, DatagramBuilder};
 use crate::metrics::{NodeMetrics, SessionReport, ShardReport};
 use crate::store::{shared_store, SharedStore};
 
-/// Reap a finished session's engine after the linger period.
+/// Reap a finished session's engine after the linger period (on the
+/// copy wheel: end a settled pull leg's linger window).
 const REAP: TimerToken = TimerToken(u64::MAX);
 /// Abandon a session whose peer went silent.
 const GIVE_UP: TimerToken = TimerToken(u64::MAX - 1);
 /// Retransmit the outbound handshake of a third-party copy.
 const COPY_HS: TimerToken = TimerToken(u64::MAX - 2);
-/// Forget a terminal copy job once its status grace window passes.
-const COPY_REAP: TimerToken = TimerToken(u64::MAX - 3);
 
 /// How long a terminal copy keeps answering status queries before it is
 /// reaped — the control-plane twin of the data-plane linger window: the
 /// orchestrating client must be able to read the final status even if
 /// its first few polls are lost.
 const COPY_GRACE: Duration = Duration::from_secs(5);
+
+/// Most terminal copy statuses a shard keeps.  Live legs are bounded
+/// by `max_sessions`; the records they leave behind are bounded here,
+/// so a flood of refused submits cannot grow a shard without limit.
+/// The oldest record goes early when a new one would exceed the cap.
+const MAX_COPY_RECORDS: usize = 1 << 16;
+
+/// The status of a copy id this shard has never seen (or has already
+/// reaped), and the blank other statuses are built from.
+const UNKNOWN_COPY: CopyStatus = CopyStatus {
+    state: CopyState::Unknown,
+    error: errcode::NONE,
+    bytes_done: 0,
+    bytes_total: 0,
+    crc32: 0,
+};
 
 /// How long a shard may sit on counter-only metric changes before
 /// republishing its snapshot.  Session events (accept, finish, reject)
@@ -112,7 +127,9 @@ pub struct NodeConfig {
     /// finished engine still lingering is reaped regardless.
     pub session_timeout: Duration,
     /// Maximum concurrent sessions per shard; requests beyond it are
-    /// cancelled.
+    /// cancelled.  Live third-party copy legs are admitted against the
+    /// same bound in a table of their own; finished copies, kept only
+    /// as status records, do not count.
     pub max_sessions: usize,
     /// Largest transfer a push request may announce.  The handshake
     /// pre-allocates the whole receive buffer from the wire-supplied
@@ -157,7 +174,7 @@ struct Session {
     finished: bool,
 }
 
-/// One third-party copy in flight: the node acts as a *client* toward
+/// One live third-party copy leg: the node acts as a *client* toward
 /// another node, reusing the same engine machinery its own clients use,
 /// driven from this shard's reactor loop (no blocking thread per copy).
 ///
@@ -167,9 +184,14 @@ struct Session {
 /// hash over the shared address would happily deliver them to a
 /// sibling.  A dedicated socket makes the 4-tuple unique, at the cost
 /// of the reactor polling it each tick (bounded by the 1 ms tick cap
-/// while copies are active); the engine's pace/RTO timers still ride
-/// the shard's exact timer machinery.
-struct CopyJob {
+/// while legs are live); the engine's pace/RTO timers still ride the
+/// shard's exact timer machinery.
+///
+/// A leg is live while it handshakes or moves data, and a settled pull
+/// leg stays live through the linger window to re-ack its source.  Then
+/// it shrinks to its [`CopyStatus`]: socket, engine and buffers go, and
+/// only the status record answers queries until the grace window ends.
+struct CopyLeg {
     /// The client-chosen copy id — also the transfer id of the
     /// outbound leg, so the client's id-uniqueness discipline extends
     /// to the remote node.
@@ -186,12 +208,11 @@ struct CopyJob {
     /// Payload bytes per data packet, for the running-progress
     /// estimate.
     packet_payload: u64,
-    /// The outbound engine; `None` while handshaking and after the
-    /// copy settles.
+    /// The outbound engine: `None` while handshaking; after the leg
+    /// settles, kept only by a lingering pull leg.
     engine: Option<Box<dyn Engine>>,
-    /// The copy's own connected socket; `None` for copies that failed
-    /// at submit time.
-    socket: Option<UdpSocket>,
+    /// The leg's own connected socket.
+    socket: UdpSocket,
     /// The source blob, held from submit until the handshake echo
     /// promotes it into a sender engine (push mode only).
     blob: Option<std::sync::Arc<[u8]>>,
@@ -201,33 +222,35 @@ struct CopyJob {
     retry_interval: Duration,
 }
 
-/// The status a [`CopyJob`] reports: exact when terminal, estimated
-/// from engine counters while the data phase runs.
-fn copy_status(job: &CopyJob) -> CopyStatus {
-    let bytes_done = match job.state {
-        CopyState::Done => job.bytes_total,
-        CopyState::Running => job
-            .engine
-            .as_ref()
-            .map(|e| {
-                let st = e.stats();
-                let pkts = match job.mode {
-                    CopyMode::Push => st
-                        .data_packets_sent
-                        .saturating_sub(st.data_packets_retransmitted),
-                    CopyMode::Pull => st.data_packets_received,
-                };
-                (pkts * job.packet_payload).min(job.bytes_total)
-            })
-            .unwrap_or(0),
-        _ => 0,
-    };
-    CopyStatus {
-        state: job.state,
-        error: job.error,
-        bytes_done,
-        bytes_total: job.bytes_total,
-        crc32: job.crc32,
+impl CopyLeg {
+    /// The status this leg reports: exact when terminal, estimated from
+    /// engine counters while the data phase runs.
+    fn status(&self) -> CopyStatus {
+        let bytes_done = match self.state {
+            CopyState::Done => self.bytes_total,
+            CopyState::Running => self
+                .engine
+                .as_ref()
+                .map(|e| {
+                    let st = e.stats();
+                    let pkts = match self.mode {
+                        CopyMode::Push => st
+                            .data_packets_sent
+                            .saturating_sub(st.data_packets_retransmitted),
+                        CopyMode::Pull => st.data_packets_received,
+                    };
+                    (pkts * self.packet_payload).min(self.bytes_total)
+                })
+                .unwrap_or(0),
+            _ => 0,
+        };
+        CopyStatus {
+            state: self.state,
+            error: self.error,
+            bytes_done,
+            bytes_total: self.bytes_total,
+            crc32: self.crc32,
+        }
     }
 }
 
@@ -271,11 +294,20 @@ pub struct NodeServer {
     demux: Demux,
     sessions: HashMap<u32, Session>,
     timers: TimerWheel<(u32, TimerToken)>,
-    /// Outbound third-party copies this shard is driving, by copy id.
-    copies: HashMap<u32, CopyJob>,
-    /// Timers for the copies' engines plus the node-owned `COPY_HS`,
-    /// `GIVE_UP` and `COPY_REAP` tokens.  A separate wheel: copy ids
-    /// are client-chosen and may collide with local session ids.
+    /// Live outbound third-party copy legs this shard is driving, by
+    /// copy id.  Only these are polled, keep the park short and count
+    /// toward `max_sessions`.
+    copies: HashMap<u32, CopyLeg>,
+    /// Terminal copies, by copy id: just the final status, kept for
+    /// [`COPY_GRACE`] so the orchestrating client can read it.
+    copy_records: HashMap<u32, CopyStatus>,
+    /// When each status record expires, oldest first.  Every record
+    /// gets the same grace, so insertion order is expiry order and a
+    /// queue does what a timer per record would.
+    copy_expiry: VecDeque<(Instant, u32)>,
+    /// Timers for the live legs' engines plus the node-owned `COPY_HS`,
+    /// `GIVE_UP` and `REAP` tokens.  A separate wheel: copy ids are
+    /// client-chosen and may collide with local session ids.
     copy_timers: TimerWheel<(u32, TimerToken)>,
     /// Reused id scratch for the per-tick copy-socket poll.
     copy_scratch: Vec<u32>,
@@ -299,26 +331,25 @@ pub struct NodeServer {
     /// telemetry.  Handed to every session engine on admission.
     recorder: Option<Recorder>,
     /// Every shard's snapshot slot (own included), so a `Stats` query
-    /// landing on this shard can answer for the whole node.  Empty on
-    /// single-reactor shims, where `local` is the whole node.
+    /// landing on this shard can answer for the whole node.
     peer_slots: Vec<Arc<Mutex<NodeMetrics>>>,
 }
 
 impl NodeServer {
-    /// Wrap an already-bound socket in a reactor shard.
-    fn with_socket(
+    /// Build a reactor shard around a bound, non-blocking socket.
+    ///
+    /// Runs on the shard's own thread, so the backend's rings, the
+    /// receive buffer and the pool warm-up land in memory that thread
+    /// uses, while the caller of [`NodeBuilder::start`] moves on.
+    fn new(
         config: NodeConfig,
         store: SharedStore,
         socket: UdpSocket,
         shutdown: Arc<AtomicBool>,
         force_portable: bool,
-    ) -> io::Result<Self> {
-        socket.set_nonblocking(true)?;
-        // Grow both socket queues (best effort): a node fans many
-        // concurrent pushes into one socket (round-0 loss to a
-        // default-sized SO_RCVBUF was the measured goodput ceiling),
-        // and batched pull bursts submit whole rounds per sendmmsg.
-        blast_udp::sockopt::grow_buffers(&socket);
+        slot: Arc<Mutex<NodeMetrics>>,
+        peer_slots: Vec<Arc<Mutex<NodeMetrics>>>,
+    ) -> Self {
         // The syscall backend: one recvmmsg per reactor wakeup, one
         // sendmmsg per engine burst, epoll+timerfd idle waits.
         let io = if force_portable {
@@ -333,8 +364,7 @@ impl NodeServer {
         let mut local = NodeMetrics::default();
         local.netio_backend = io.backend().name().to_string();
         local.netio_offload = io.offload().name().to_string();
-        let slot = Arc::new(Mutex::new(local.clone()));
-        Ok(NodeServer {
+        NodeServer {
             socket,
             io,
             config,
@@ -346,6 +376,8 @@ impl NodeServer {
             sessions: HashMap::new(),
             timers: TimerWheel::new(),
             copies: HashMap::new(),
+            copy_records: HashMap::new(),
+            copy_expiry: VecDeque::new(),
             copy_timers: TimerWheel::new(),
             copy_scratch: Vec::new(),
             epoch: Instant::now(),
@@ -360,8 +392,8 @@ impl NodeServer {
             published_events: 0,
             last_publish: Instant::now(),
             recorder: None,
-            peer_slots: Vec::new(),
-        })
+            peer_slots,
+        }
     }
 
     /// Attach the shard's flight recorder.  The recorder's epoch
@@ -374,64 +406,18 @@ impl NodeServer {
         self.recorder = Some(recorder);
     }
 
-    /// The bound address clients should talk to.
-    pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.socket.local_addr()
-    }
-
-    /// The blob store this node serves.
-    pub fn store(&self) -> SharedStore {
-        Arc::clone(&self.store)
-    }
-
-    /// A snapshot of this shard's metrics.
-    pub fn metrics(&self) -> NodeMetrics {
-        self.local.clone()
-    }
-
-    /// The flag that stops [`run`](NodeServer::run) when set.
-    pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.shutdown)
-    }
-
-    /// The snapshot slot a [`NodeHandle`] merges on read.
-    fn metrics_slot(&self) -> Arc<Mutex<NodeMetrics>> {
-        Arc::clone(&self.slot)
-    }
-
     /// Run the event loop until the shutdown flag is set.
-    pub fn run(&mut self) -> io::Result<()> {
-        let result = self.run_inner();
+    fn run(&mut self) -> io::Result<()> {
+        // The backend names reach the handle before the first tick.
+        self.publish_now();
+        let mut result = Ok(());
+        while result.is_ok() && !self.shutdown.load(Ordering::Relaxed) {
+            result = self.tick();
+        }
         // Whatever happened, leave the final state visible to the
         // handle before the thread exits.
         self.publish_now();
         result
-    }
-
-    fn run_inner(&mut self) -> io::Result<()> {
-        while !self.shutdown.load(Ordering::Relaxed) {
-            self.tick()?;
-        }
-        Ok(())
-    }
-
-    /// Run until `n` sessions have finished (completed or failed) and
-    /// every engine has been reaped — the "serve a fixed workload then
-    /// report" mode the examples and CI smoke test use.
-    pub fn run_sessions(&mut self, n: u64) -> io::Result<()> {
-        loop {
-            self.tick()?;
-            if self.sessions.is_empty()
-                && self.local.sessions_completed + self.local.sessions_failed >= n
-            {
-                break;
-            }
-            if self.shutdown.load(Ordering::Relaxed) {
-                break;
-            }
-        }
-        self.publish_now();
-        Ok(())
     }
 
     /// One reactor cycle: timers, then a socket drain, then a flush of
@@ -448,10 +434,11 @@ impl NodeServer {
         }
         while let Some((id, token)) = self.copy_timers.pop_due(now) {
             timers_fired += 1;
-            self.on_copy_timer(id, token)?;
+            self.on_copy_timer(id, token);
         }
+        self.expire_copy_records(now);
         let drained = self.drain_socket()?;
-        let copied = self.poll_copies()?;
+        let copied = self.poll_copies();
         // Only ticks that did work are traced — idle wakeups would
         // drown the ring without saying anything.
         if drained + copied > 0 || timers_fired > 0 {
@@ -482,9 +469,9 @@ impl NodeServer {
                 .unwrap_or(Duration::from_millis(5))
                 .clamp(PacingConfig::MIN_WAIT, Duration::from_millis(10));
             if !self.copies.is_empty() {
-                // Copy sockets are polled, not in the event wait: cap
-                // the park so an incoming ack on an outbound leg waits
-                // at most a millisecond.
+                // Live legs' sockets are polled, not in the event wait:
+                // cap the park so an incoming ack on an outbound leg
+                // waits at most a millisecond.
                 park = park.min(Duration::from_millis(1));
             }
             self.io.wait(park)?;
@@ -827,17 +814,11 @@ impl NodeServer {
         self.publish_now();
         let mut merged = NodeMetrics::default();
         let mut shard_lines = String::new();
-        if self.peer_slots.is_empty() {
-            merged.merge_from(&self.local);
-            shard_lines.push_str(&ShardReport::from_metrics(0, &self.local).summary());
+        for (i, slot) in self.peer_slots.iter().enumerate() {
+            let m = slot.lock().expect("metrics slot");
+            merged.merge_from(&m);
+            shard_lines.push_str(&ShardReport::from_metrics(i, &m).summary());
             shard_lines.push('\n');
-        } else {
-            for (i, slot) in self.peer_slots.iter().enumerate() {
-                let m = slot.lock().expect("metrics slot");
-                merged.merge_from(&m);
-                shard_lines.push_str(&ShardReport::from_metrics(i, &m).summary());
-                shard_lines.push('\n');
-            }
         }
         let mut text = merged.summary();
         text.push('\n');
@@ -905,13 +886,7 @@ impl NodeServer {
             CopyMsg::Query => {
                 // An unknown id decodes to a terminal `Unknown` status:
                 // never submitted, or already past the grace window.
-                let status = self.copies.get(&id).map(copy_status).unwrap_or(CopyStatus {
-                    state: CopyState::Unknown,
-                    error: errcode::NONE,
-                    bytes_done: 0,
-                    bytes_total: 0,
-                    crc32: 0,
-                });
+                let status = self.copy_status(id).unwrap_or(UNKNOWN_COPY);
                 self.send_copy_msg(id, nonce, &CopyMsg::Status(status), peer)
             }
             CopyMsg::Digest { name } => {
@@ -938,6 +913,14 @@ impl NodeServer {
         }
     }
 
+    /// The current status of copy `id`, live or terminal.
+    fn copy_status(&self, id: u32) -> Option<CopyStatus> {
+        match self.copies.get(&id) {
+            Some(leg) => Some(leg.status()),
+            None => self.copy_records.get(&id).copied(),
+        }
+    }
+
     /// Admit (or refuse) a copy order.  Idempotent: a duplicate submit
     /// for a known id — the client retransmitting because our reply was
     /// lost — just re-reports the current status.
@@ -948,8 +931,7 @@ impl NodeServer {
         submit: CopySubmit,
         peer: SocketAddr,
     ) -> io::Result<()> {
-        if let Some(job) = self.copies.get(&id) {
-            let status = copy_status(job);
+        if let Some(status) = self.copy_status(id) {
             return self.send_copy_msg(id, nonce, &CopyMsg::Status(status), peer);
         }
         if self.copies.len() >= self.config.max_sessions {
@@ -957,9 +939,7 @@ impl NodeServer {
             let status = CopyStatus {
                 state: CopyState::Failed,
                 error: errcode::BUSY,
-                bytes_done: 0,
-                bytes_total: 0,
-                crc32: 0,
+                ..UNKNOWN_COPY
             };
             return self.send_copy_msg(id, nonce, &CopyMsg::Status(status), peer);
         }
@@ -987,19 +967,35 @@ impl NodeServer {
                 rec.record(id, EventKind::ClockAnchor, submit.epoch_ns, mine);
             }
         }
-        let mut job = CopyJob {
+        let (request, blob) = match submit.mode {
+            CopyMode::Push => {
+                let Some(blob) = self.store.get(&submit.name) else {
+                    return self.refuse_copy(id, nonce, errcode::NOT_FOUND, peer);
+                };
+                let req =
+                    Request::push(blob.len(), &self.config.protocol, false).with_name(&submit.name);
+                (req, Some(blob))
+            }
+            CopyMode::Pull => (Request::pull(&submit.name, &self.config.protocol), None),
+        };
+        let Ok(socket) = copy_socket(submit.remote) else {
+            return self.refuse_copy(id, nonce, errcode::TRANSFER_FAILED, peer);
+        };
+        let request_frame = fcs::frame(&request.build_datagram(id));
+        let _ = socket.send(&request_frame);
+        let leg = CopyLeg {
             copy_id: id,
             mode: submit.mode,
-            name: submit.name.clone(),
+            name: submit.name,
             state: CopyState::Handshaking,
             error: errcode::NONE,
-            bytes_total: 0,
-            crc32: 0,
+            bytes_total: blob.as_ref().map_or(0, |b| b.len() as u64),
+            crc32: blob.as_deref().map_or(0, crc32),
             packet_payload: self.config.protocol.packet_payload as u64,
             engine: None,
-            socket: None,
-            blob: None,
-            request_frame: Vec::new(),
+            socket,
+            blob,
+            request_frame,
             started: Instant::now(),
             // The client-side handshake cadence: the data-phase RTO,
             // capped so a long timeout does not slow the handshake.
@@ -1010,58 +1006,66 @@ impl NodeServer {
                 .initial()
                 .min(Duration::from_millis(200)),
         };
-        let request = match submit.mode {
-            CopyMode::Push => {
-                let Some(blob) = self.store.get(&submit.name) else {
-                    return self.refuse_copy(job, nonce, errcode::NOT_FOUND, peer);
-                };
-                job.bytes_total = blob.len() as u64;
-                job.crc32 = crc32(&blob);
-                let req =
-                    Request::push(blob.len(), &self.config.protocol, false).with_name(&submit.name);
-                job.blob = Some(blob);
-                req
-            }
-            CopyMode::Pull => Request::pull(&submit.name, &self.config.protocol),
-        };
-        let socket = match copy_socket(submit.remote) {
-            Ok(socket) => socket,
-            Err(_) => return self.refuse_copy(job, nonce, errcode::TRANSFER_FAILED, peer),
-        };
-        job.request_frame = fcs::frame(&request.build_datagram(id));
-        let _ = socket.send(&job.request_frame);
-        job.socket = Some(socket);
-        self.copy_timers.arm((id, COPY_HS), job.retry_interval);
+        self.copy_timers.arm((id, COPY_HS), leg.retry_interval);
         // The session-lifetime bound doubles as the copy's: an outbound
         // leg that has not settled by then is abandoned.
         self.copy_timers
             .arm((id, GIVE_UP), self.config.session_timeout);
-        let status = copy_status(&job);
-        self.copies.insert(id, job);
+        let status = leg.status();
+        self.copies.insert(id, leg);
         self.send_copy_msg(id, nonce, &CopyMsg::Status(status), peer)
     }
 
-    /// Register a copy that failed at submit time as a terminal job —
-    /// queries during the grace window see `Failed` with the real error
-    /// code, not an amnesiac `Unknown` — and report it to the client.
-    fn refuse_copy(
-        &mut self,
-        mut job: CopyJob,
-        nonce: u32,
-        error: u8,
-        peer: SocketAddr,
-    ) -> io::Result<()> {
-        job.state = CopyState::Failed;
-        job.error = error;
+    /// Record a copy that failed at submit time — queries during the
+    /// grace window see `Failed` with the real error code, not an
+    /// amnesiac `Unknown` — and report it to the client.
+    fn refuse_copy(&mut self, id: u32, nonce: u32, error: u8, peer: SocketAddr) -> io::Result<()> {
         self.local.copies_failed += 1;
         if let Some(rec) = &self.recorder {
-            rec.record(job.copy_id, EventKind::CopyDone, 0, 0);
+            rec.record(id, EventKind::CopyDone, 0, 0);
         }
-        self.copy_timers.arm((job.copy_id, COPY_REAP), COPY_GRACE);
-        let status = copy_status(&job);
-        let id = job.copy_id;
-        self.copies.insert(id, job);
+        let status = CopyStatus {
+            state: CopyState::Failed,
+            error,
+            ..UNKNOWN_COPY
+        };
+        self.record_copy(id, status);
         self.send_copy_msg(id, nonce, &CopyMsg::Status(status), peer)
+    }
+
+    /// Keep a terminal copy's status for the grace window.
+    fn record_copy(&mut self, id: u32, status: CopyStatus) {
+        if self.copy_records.len() >= MAX_COPY_RECORDS {
+            if let Some((_, oldest)) = self.copy_expiry.pop_front() {
+                self.copy_records.remove(&oldest);
+            }
+        }
+        self.copy_records.insert(id, status);
+        self.copy_expiry
+            .push_back((Instant::now() + COPY_GRACE, id));
+    }
+
+    /// Forget the status records whose grace window has passed.
+    fn expire_copy_records(&mut self, now: Instant) {
+        while let Some(&(when, id)) = self.copy_expiry.front() {
+            if when > now {
+                break;
+            }
+            self.copy_expiry.pop_front();
+            self.copy_records.remove(&id);
+        }
+    }
+
+    /// Return a leg taken out of the live table: back in, or — once it
+    /// has settled and is not lingering — shrunk to its status record,
+    /// closing its socket.
+    fn restore_copy(&mut self, leg: CopyLeg) {
+        if leg.state.is_terminal() && leg.engine.is_none() {
+            self.copy_timers.forget_where(|&(id, _)| id == leg.copy_id);
+            self.record_copy(leg.copy_id, leg.status());
+        } else {
+            self.copies.insert(leg.copy_id, leg);
+        }
     }
 
     /// Stage one `Copy` reply toward the orchestrating client, echoing
@@ -1081,10 +1085,10 @@ impl NodeServer {
         self.send_framed(peer, &buf[..n])
     }
 
-    /// Drain every copy's dedicated socket.  Returns datagrams handled.
-    fn poll_copies(&mut self) -> io::Result<usize> {
+    /// Drain every live leg's socket.  Returns datagrams handled.
+    fn poll_copies(&mut self) -> usize {
         if self.copies.is_empty() {
-            return Ok(0);
+            return 0;
         }
         let mut ids = std::mem::take(&mut self.copy_scratch);
         ids.clear();
@@ -1092,130 +1096,128 @@ impl NodeServer {
         let mut buf = std::mem::take(&mut self.recv_buf);
         let mut handled = 0usize;
         for &id in &ids {
-            // Take the job out of the table for the duration of the
+            // Take the leg out of the table for the duration of the
             // drain so its engine can borrow `self` mutably.
-            let Some(mut job) = self.copies.remove(&id) else {
+            let Some(mut leg) = self.copies.remove(&id) else {
                 continue;
             };
             loop {
-                let n = {
-                    let Some(socket) = &job.socket else { break };
-                    match socket.recv(&mut buf) {
-                        Ok(n) => n,
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        // A connected UDP socket surfaces ICMP
-                        // unreachable as ConnectionRefused: the remote
-                        // is not up (yet).  The handshake/RTO
-                        // retransmissions keep probing.
-                        Err(_) => break,
-                    }
+                let n = match leg.socket.recv(&mut buf) {
+                    Ok(n) => n,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                    // Dry (`WouldBlock`), or an ICMP unreachable that a
+                    // connected UDP socket surfaces as an error: the
+                    // remote is not up (yet), and the handshake/RTO
+                    // retransmissions keep probing.
+                    Err(_) => break,
                 };
                 handled += 1;
                 match fcs::unframe(&buf[..n]) {
-                    Some(body) => self.on_copy_frame(&mut job, &buf[..body])?,
+                    Some(body) => self.on_copy_frame(&mut leg, &buf[..body]),
                     None => self.local.fcs_drops += 1,
                 }
             }
-            self.copies.insert(id, job);
+            self.restore_copy(leg);
         }
         self.recv_buf = buf;
         self.copy_scratch = ids;
-        Ok(handled)
+        handled
     }
 
-    /// One verified frame off a copy's socket: the handshake echo while
-    /// handshaking, engine traffic while running.
-    fn on_copy_frame(&mut self, job: &mut CopyJob, raw: &[u8]) -> io::Result<()> {
+    /// One verified frame off a leg's socket: the handshake echo while
+    /// handshaking, engine traffic while running or lingering.
+    fn on_copy_frame(&mut self, leg: &mut CopyLeg, raw: &[u8]) {
         let Ok(dgram) = Datagram::parse(raw) else {
             self.local.malformed += 1;
-            return Ok(());
+            return;
         };
-        if dgram.transfer_id != job.copy_id {
-            return Ok(());
+        if dgram.transfer_id != leg.copy_id {
+            return;
         }
-        match job.state {
+        match leg.state {
             CopyState::Handshaking => match dgram.kind {
-                PacketKind::Request => match Request::decode(dgram.payload) {
-                    Some(echoed) => self.promote_copy(job, &echoed),
-                    None => Ok(()),
-                },
+                PacketKind::Request => {
+                    if let Some(echoed) = Request::decode(dgram.payload) {
+                        self.promote_copy(leg, &echoed);
+                    }
+                }
                 // The remote refused the handshake — for a pull, it
                 // does not have the blob.
-                PacketKind::Cancel => {
-                    self.fail_copy(job, errcode::NOT_FOUND);
-                    Ok(())
-                }
+                PacketKind::Cancel => self.fail_copy(leg, errcode::NOT_FOUND),
                 // Data racing ahead of a lost echo: the remote's
                 // retransmission machinery re-elicits everything once
                 // our handshake retry lands.
-                _ => Ok(()),
+                _ => {}
             },
-            CopyState::Running => {
-                if dgram.kind == PacketKind::Request {
-                    // Duplicate echo; the engine must never see
-                    // handshake traffic.
-                    return Ok(());
-                }
+            // Duplicate echo; the engine must never see handshake
+            // traffic.
+            _ if dgram.kind == PacketKind::Request => {}
+            CopyState::Running | CopyState::Done => {
+                let Some(engine) = leg.engine.as_mut() else {
+                    return;
+                };
                 let now = self.epoch.elapsed();
                 let mut sink = std::mem::take(&mut self.scratch);
-                if let Some(engine) = job.engine.as_mut() {
-                    engine.set_now(now);
-                    engine.on_datagram(&dgram, &mut sink);
-                }
-                let executed = self.execute_copy(job, &mut sink);
-                sink.clear();
+                engine.set_now(now);
+                engine.on_datagram(&dgram, &mut sink);
+                self.execute_copy(leg, &mut sink);
                 self.scratch = sink;
-                executed
+                // Traffic for a settled pull leg means the source has
+                // not heard our final ack: restart the linger window
+                // so the engine stays to re-answer.
+                if leg.state == CopyState::Done {
+                    self.copy_timers
+                        .arm((leg.copy_id, REAP), self.config.linger);
+                }
             }
-            // Terminal: stragglers are the remote's linger machinery.
-            _ => Ok(()),
+            // Failed: stragglers are the remote's linger machinery.
+            _ => {}
         }
     }
 
     /// The handshake echo arrived: build the outbound engine and start
     /// the data phase.
-    fn promote_copy(&mut self, job: &mut CopyJob, echoed: &Request) -> io::Result<()> {
+    fn promote_copy(&mut self, leg: &mut CopyLeg, echoed: &Request) {
         let mut cfg = self.config.protocol.clone();
         echoed.apply_to(&mut cfg);
-        job.packet_payload = cfg.packet_payload as u64;
-        let mut engine: Box<dyn Engine> = match job.mode {
+        leg.packet_payload = cfg.packet_payload as u64;
+        let mut engine: Box<dyn Engine> = match leg.mode {
             CopyMode::Push => {
-                let Some(blob) = job.blob.take() else {
-                    self.fail_copy(job, errcode::TRANSFER_FAILED);
-                    return Ok(());
+                let Some(blob) = leg.blob.take() else {
+                    self.fail_copy(leg, errcode::TRANSFER_FAILED);
+                    return;
                 };
-                Box::new(BlastSender::new(job.copy_id, blob, &cfg))
+                Box::new(BlastSender::new(leg.copy_id, blob, &cfg))
             }
             CopyMode::Pull => {
                 // The echo is the size announcement; bound the eager
                 // allocation exactly as the push handshake does.
                 if echoed.len > self.config.max_transfer_bytes {
-                    self.fail_copy(job, errcode::TRANSFER_FAILED);
-                    return Ok(());
+                    self.fail_copy(leg, errcode::TRANSFER_FAILED);
+                    return;
                 }
-                job.bytes_total = echoed.len as u64;
-                Box::new(BlastReceiver::new(job.copy_id, echoed.len, &cfg))
+                leg.bytes_total = echoed.len as u64;
+                Box::new(BlastReceiver::new(leg.copy_id, echoed.len, &cfg))
             }
         };
         if let Some(rec) = &self.recorder {
             engine.set_recorder(rec.clone());
         }
         engine.set_now(self.epoch.elapsed());
-        self.copy_timers.cancel((job.copy_id, COPY_HS));
-        job.state = CopyState::Running;
+        self.copy_timers.cancel((leg.copy_id, COPY_HS));
+        leg.state = CopyState::Running;
+        leg.request_frame = Vec::new();
         let mut sink = std::mem::take(&mut self.scratch);
         engine.start(&mut sink);
-        job.engine = Some(engine);
-        let executed = self.execute_copy(job, &mut sink);
-        sink.clear();
+        leg.engine = Some(engine);
+        self.execute_copy(leg, &mut sink);
         self.scratch = sink;
-        executed
     }
 
-    /// Apply one copy engine's actions: transmissions go out the copy's
+    /// Apply one copy engine's actions: transmissions go out the leg's
     /// own socket, timers ride the copy wheel, completion settles.
-    fn execute_copy(&mut self, job: &mut CopyJob, actions: &mut Vec<Action>) -> io::Result<()> {
+    /// Drains `actions`, whose capacity the caller reuses.
+    fn execute_copy(&mut self, leg: &mut CopyLeg, actions: &mut Vec<Action>) {
         let mut completion = None;
         for action in actions.drain(..) {
             match action {
@@ -1224,117 +1226,103 @@ impl NodeServer {
                     fcs::frame_into(&bytes, &mut framed);
                     // Loss-like submission failures are recovered by
                     // retransmission, same as the session path.
-                    if let Some(socket) = &job.socket {
-                        let _ = socket.send(&framed);
-                    }
+                    let _ = leg.socket.send(&framed);
                     self.frame_buf = framed;
                 }
                 Action::SetTimer { token, after } => {
-                    self.copy_timers.arm((job.copy_id, token), after)
+                    self.copy_timers.arm((leg.copy_id, token), after)
                 }
-                Action::CancelTimer { token } => self.copy_timers.cancel((job.copy_id, token)),
+                Action::CancelTimer { token } => self.copy_timers.cancel((leg.copy_id, token)),
                 Action::Complete(info) => completion = Some(*info),
             }
         }
         if let Some(info) = completion {
-            self.settle_copy(job, &info);
+            self.settle_copy(leg, &info);
         }
-        Ok(())
     }
 
     /// The outbound engine completed: store pulled bytes, fix the
-    /// digest, book the metrics, and enter the status grace window.
-    fn settle_copy(&mut self, job: &mut CopyJob, info: &CompletionInfo) {
-        if job.state.is_terminal() {
+    /// digest and book the metrics.  A push leg is then spent; a pull
+    /// leg lingers so a source that lost our final ack hears it again.
+    fn settle_copy(&mut self, leg: &mut CopyLeg, info: &CompletionInfo) {
+        if leg.state.is_terminal() {
             return;
         }
-        match &info.result {
-            Ok(bytes) => {
-                if job.mode == CopyMode::Pull {
-                    if let Some(data) = job.engine.as_deref().and_then(Engine::received_data) {
-                        job.crc32 = crc32(data);
-                        job.bytes_total = data.len() as u64;
-                        if !job.name.is_empty() {
-                            self.store.put(&job.name, data.to_vec().into());
-                        }
+        let Ok(bytes) = info.result else {
+            self.fail_copy(leg, errcode::TRANSFER_FAILED);
+            return;
+        };
+        leg.state = CopyState::Done;
+        self.local.copies_completed += 1;
+        self.local.copy_bytes_moved += bytes as u64;
+        if let Some(rec) = &self.recorder {
+            rec.record(leg.copy_id, EventKind::CopyDone, 1, bytes as u64);
+        }
+        match leg.mode {
+            CopyMode::Push => leg.engine = None,
+            CopyMode::Pull => {
+                if let Some(data) = leg.engine.as_deref().and_then(Engine::received_data) {
+                    leg.crc32 = crc32(data);
+                    leg.bytes_total = data.len() as u64;
+                    if !leg.name.is_empty() {
+                        self.store.put(&leg.name, data.to_vec().into());
                     }
                 }
-                job.state = CopyState::Done;
-                self.local.copies_completed += 1;
-                self.local.copy_bytes_moved += *bytes as u64;
-                if let Some(rec) = &self.recorder {
-                    rec.record(job.copy_id, EventKind::CopyDone, 1, *bytes as u64);
-                }
-                job.engine = None;
-                self.copy_timers.forget_where(|&(id, _)| id == job.copy_id);
-                self.copy_timers.arm((job.copy_id, COPY_REAP), COPY_GRACE);
+                self.copy_timers
+                    .arm((leg.copy_id, REAP), self.config.linger);
             }
-            Err(_) => self.fail_copy(job, errcode::TRANSFER_FAILED),
         }
     }
 
     /// Fail a copy outside normal engine completion (handshake timeout,
     /// refused handshake, lifetime bound).
-    fn fail_copy(&mut self, job: &mut CopyJob, error: u8) {
-        if job.state.is_terminal() {
+    fn fail_copy(&mut self, leg: &mut CopyLeg, error: u8) {
+        if leg.state.is_terminal() {
             return;
         }
-        job.state = CopyState::Failed;
-        job.error = error;
-        job.engine = None;
+        leg.state = CopyState::Failed;
+        leg.error = error;
+        leg.engine = None;
         self.local.copies_failed += 1;
         if let Some(rec) = &self.recorder {
-            rec.record(job.copy_id, EventKind::CopyDone, 0, 0);
+            rec.record(leg.copy_id, EventKind::CopyDone, 0, 0);
         }
-        self.copy_timers.forget_where(|&(id, _)| id == job.copy_id);
-        self.copy_timers.arm((job.copy_id, COPY_REAP), COPY_GRACE);
     }
 
-    fn on_copy_timer(&mut self, id: u32, token: TimerToken) -> io::Result<()> {
-        if token == COPY_REAP {
-            self.copies.remove(&id);
-            self.copy_timers.forget_where(|&(cid, _)| cid == id);
-            return Ok(());
-        }
-        let Some(mut job) = self.copies.remove(&id) else {
-            return Ok(());
+    fn on_copy_timer(&mut self, id: u32, token: TimerToken) {
+        let Some(mut leg) = self.copies.remove(&id) else {
+            return;
         };
-        let executed = match token {
+        match token {
             COPY_HS => {
-                if job.state == CopyState::Handshaking {
-                    if job.started.elapsed() >= self.config.session_timeout {
-                        self.fail_copy(&mut job, errcode::HANDSHAKE_TIMEOUT);
+                if leg.state == CopyState::Handshaking {
+                    if leg.started.elapsed() >= self.config.session_timeout {
+                        self.fail_copy(&mut leg, errcode::HANDSHAKE_TIMEOUT);
                     } else {
-                        if let Some(socket) = &job.socket {
-                            let _ = socket.send(&job.request_frame);
-                        }
+                        let _ = leg.socket.send(&leg.request_frame);
                         self.local.copy_handshake_retx += 1;
-                        self.copy_timers.arm((id, COPY_HS), job.retry_interval);
+                        self.copy_timers.arm((id, COPY_HS), leg.retry_interval);
                     }
                 }
-                Ok(())
             }
-            GIVE_UP => {
-                if !job.state.is_terminal() {
-                    self.fail_copy(&mut job, errcode::TRANSFER_FAILED);
-                }
-                Ok(())
+            // The lifetime bound fails a leg that never settled; it and
+            // the end of the linger window both retire a settled one.
+            GIVE_UP | REAP => {
+                self.fail_copy(&mut leg, errcode::TRANSFER_FAILED);
+                leg.engine = None;
             }
             _ => {
                 let now = self.epoch.elapsed();
                 let mut sink = std::mem::take(&mut self.scratch);
-                if let Some(engine) = job.engine.as_mut() {
+                if let Some(engine) = leg.engine.as_mut() {
                     engine.set_now(now);
                     engine.on_timer(token, &mut sink);
                 }
-                let executed = self.execute_copy(&mut job, &mut sink);
-                sink.clear();
+                self.execute_copy(&mut leg, &mut sink);
                 self.scratch = sink;
-                executed
             }
-        };
-        self.copies.insert(id, job);
-        executed
+        }
+        self.restore_copy(leg);
     }
 }
 
@@ -1470,6 +1458,10 @@ impl NodeBuilder {
     /// socket may take an ephemeral port, the rest join it, and the
     /// kernel's 4-tuple hash pins each remote endpoint to one member.
     /// Platforms without reuseport groups fall back to a single shard.
+    ///
+    /// Binding and socket options happen here, so their errors come
+    /// back from `start`; each shard then builds its I/O backend and
+    /// buffers on its own thread.
     pub fn start(self) -> io::Result<NodeHandle> {
         let NodeBuilder {
             config,
@@ -1480,11 +1472,28 @@ impl NodeBuilder {
         let store = store.unwrap_or_else(shared_store);
         let shutdown = Arc::new(AtomicBool::new(false));
         let sockets = bind_shard_sockets(config.bind, config.shards.max(1))?;
-        let telemetry = telemetry_capacity.map(|cap| Telemetry::new(sockets.len(), cap));
-        let mut slots = Vec::with_capacity(sockets.len());
-        let mut servers = Vec::with_capacity(sockets.len());
-        let mut threads = Vec::with_capacity(sockets.len());
-        let mut addr = None;
+        let addr = sockets[0].local_addr()?;
+        for socket in &sockets {
+            socket.set_nonblocking(true)?;
+            // Grow both socket queues (best effort): a node fans many
+            // concurrent pushes into one socket (round-0 loss to a
+            // default-sized SO_RCVBUF was the measured goodput ceiling),
+            // and batched pull bursts submit whole rounds per sendmmsg.
+            sockopt::grow_buffers(socket);
+        }
+        // Every slot exists before any shard runs: each shard learns
+        // all of them, so a `Stats` query answers for the whole node.
+        let mut node = NodeHandle {
+            addr,
+            store,
+            slots: sockets
+                .iter()
+                .map(|_| Arc::new(Mutex::new(NodeMetrics::default())))
+                .collect(),
+            shutdown,
+            threads: Vec::with_capacity(sockets.len()),
+            telemetry: telemetry_capacity.map(|cap| Telemetry::new(sockets.len(), cap)),
+        };
         for (shard, socket) in sockets.into_iter().enumerate() {
             let mut cfg = config.clone();
             if shard > 0 {
@@ -1497,39 +1506,38 @@ impl NodeBuilder {
                     .protocol
                     .with_pool(BufferPool::new(pool.buf_capacity(), pool.max_free()));
             }
-            let server = NodeServer::with_socket(
-                cfg,
-                Arc::clone(&store),
-                socket,
-                Arc::clone(&shutdown),
-                portable_netio,
-            )?;
-            addr.get_or_insert(server.local_addr()?);
-            slots.push(server.metrics_slot());
-            servers.push(server);
-        }
-        // Second pass, once every slot exists: each shard learns all
-        // the snapshot slots (so a `Stats` query answers for the whole
-        // node) and gets its recorder, then moves onto its thread.
-        for (shard, mut server) in servers.into_iter().enumerate() {
-            server.peer_slots = slots.clone();
-            if let Some(tel) = &telemetry {
-                server.attach_recorder(tel.recorder(shard));
+            let store = node.store();
+            let shutdown = Arc::clone(&node.shutdown);
+            let slot = Arc::clone(&node.slots[shard]);
+            let peer_slots = node.slots.clone();
+            let recorder = node.telemetry.as_ref().map(|tel| tel.recorder(shard));
+            let spawned = std::thread::Builder::new()
+                .name(format!("blast-node-{shard}"))
+                .spawn(move || {
+                    let mut server = NodeServer::new(
+                        cfg,
+                        store,
+                        socket,
+                        shutdown,
+                        portable_netio,
+                        slot,
+                        peer_slots,
+                    );
+                    if let Some(recorder) = recorder {
+                        server.attach_recorder(recorder);
+                    }
+                    server.run()
+                });
+            match spawned {
+                Ok(thread) => node.threads.push(thread),
+                Err(e) => {
+                    // Stop and join the shards already running.
+                    let _ = node.shutdown();
+                    return Err(e);
+                }
             }
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("blast-node-{shard}"))
-                    .spawn(move || server.run())?,
-            );
         }
-        Ok(NodeHandle {
-            addr: addr.expect("at least one shard"),
-            store,
-            slots,
-            shutdown,
-            threads,
-            telemetry,
-        })
+        Ok(node)
     }
 }
 
@@ -1850,6 +1858,37 @@ mod tests {
             "no blob from a failed push"
         );
         node.shutdown().unwrap();
+    }
+
+    #[test]
+    fn copy_records_are_capped_and_expire() {
+        let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let slot = Arc::new(Mutex::new(NodeMetrics::default()));
+        let mut shard = NodeServer::new(
+            NodeConfig::default(),
+            shared_store(),
+            socket,
+            Arc::new(AtomicBool::new(false)),
+            true,
+            Arc::clone(&slot),
+            vec![slot],
+        );
+        let done = CopyStatus {
+            state: CopyState::Done,
+            ..UNKNOWN_COPY
+        };
+        let n = MAX_COPY_RECORDS as u32 + 10;
+        for id in 0..n {
+            shard.record_copy(id, done);
+        }
+        assert_eq!(shard.copy_records.len(), MAX_COPY_RECORDS);
+        assert_eq!(shard.copy_status(9), None, "oldest evicted first");
+        assert_eq!(shard.copy_status(10), Some(done));
+        assert_eq!(shard.copy_status(n - 1), Some(done));
+
+        shard.expire_copy_records(Instant::now() + COPY_GRACE);
+        assert!(shard.copy_records.is_empty());
+        assert!(shard.copy_expiry.is_empty());
     }
 
     #[test]
